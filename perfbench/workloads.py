@@ -464,7 +464,7 @@ def check_serve_reads(schedule, reads: Dict[int, object],
 
 
 #: name -> workload.  Sizes are chosen so one unit takes about 2 to 8 s on
-#: a 2-core host and a 30 s run holds several units (see README.md).
+#: a 2-core host and a 28 s run holds several units (see README.md).
 WORKLOADS = {
     "load-queue": LoadWorkload("load-queue", "queue", rate=400.0,
                                duration=50.0),
