@@ -79,7 +79,7 @@ PER_LAYER: List[Tuple[str, str]] = [
 #: p99: on a shared 2-core host the live tier's p99 moved by about 18%
 #: between identical runs, and p90 is the highest percentile that
 #: repeated within the gate (every workload has over ten samples past
-#: it per unit; the live tier has the fewest, about 48 of 480).
+#: it per unit; the live tier has the fewest, about 24 of 240).
 TAIL_PERCENTILE = 90
 
 
@@ -126,17 +126,20 @@ def _growth(series: Sequence[float]) -> float:
     return _ratio(sum(series[-k:]), sum(series[:k]))
 
 
-#: Layers whose share of the untraced unit's wall time is reported.
+#: Layers whose share of the traced unit's wall time is reported.
 SHARE_LAYERS = ("simkit", "cluster", "pipeline", "storage.queue",
                 "storage.table", "traffic", "bench")
 
 
-def per_layer(merged: Dict[str, Dict], unit, untraced_wall_s: float,
-              overhead_ratio: float) -> Dict[str, float]:
+def per_layer(merged: Dict[str, Dict], unit,
+              untraced_wall_s: float) -> Dict[str, float]:
     """Per-layer numbers of one traced unit.
 
-    A layer's share is its self time, less the tracer's calibrated cost,
-    over the wall time of an untraced unit of the same seed.
+    A layer's share is its self time over the traced unit's own wall
+    time, both less the tracer's calibrated cost.  Taking both from the
+    same unit keeps the host's speed changes between units out of the
+    share.  ``untraced_wall_s``, the median untraced unit of the run,
+    only enters ``trace.overhead_ratio``.
     """
     stats = merged["stats"]
     layers = merged["layers"]
@@ -157,6 +160,7 @@ def per_layer(merged: Dict[str, Dict], unit, untraced_wall_s: float,
         return layers.get(name, 0.0)
 
     storage = sum(v for k, v in layers.items() if k.startswith("storage."))
+    wall = unit.wall_s - merged["overhead_s"]
     out: Dict[str, float] = {
         "simkit.self_s": layer("simkit"),
         "simkit.events": counters.get("simkit.events", 0),
@@ -195,11 +199,11 @@ def per_layer(merged: Dict[str, Dict], unit, untraced_wall_s: float,
         "service.conns_per_op": _ratio(s("service.connect", 3), unit.ops),
         "service.spans": sum(v[0] for k, v in stats.items()
                              if k.startswith("service.")),
-        "trace.overhead_ratio": overhead_ratio,
+        "trace.overhead_ratio": _ratio(unit.wall_s, untraced_wall_s),
     }
     for name in SHARE_LAYERS:
-        out[f"{name}.share"] = _ratio(layer(name), untraced_wall_s)
-    out["storage.share"] = _ratio(storage, untraced_wall_s)
+        out[f"{name}.share"] = _ratio(layer(name), wall)
+    out["storage.share"] = _ratio(storage, wall)
     for kind, metric in OP_METRICS.items():
         n, storage_s = ops.get(kind, (0, 0.0))
         out[metric] = _ratio(storage_s, n) * 1e6

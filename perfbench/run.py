@@ -50,7 +50,7 @@ def _time_units(wl, seed: int, seconds: float, trace: bool):
     """Set up and run units until ``seconds`` are spent.
 
     Returns ``(units, setup_times, traced)`` where ``traced`` holds
-    ``(unit, tracer, run_wall_s, untraced_wall_s)`` for traced runs.
+    ``(unit, tracer)`` for traced runs.
     """
     units, setups, traced = [], [], []
     start = time.perf_counter()
@@ -59,21 +59,15 @@ def _time_units(wl, seed: int, seconds: float, trace: bool):
         t0 = time.perf_counter()
         prepared = wl.setup(seed, len(units))
         setups.append(time.perf_counter() - t0)
-        t1 = time.perf_counter()
-        unit = wl.run(prepared)
-        units.append(unit)
-        untraced_wall = time.perf_counter() - t1
+        units.append(wl.run(prepared))
         if trace:
             tracer = spans.Tracer()
             prepared = wl.setup(seed, len(units) - 1)
             inst = spans.install(tracer)
-            t2 = time.perf_counter()
             try:
-                traced_unit = wl.run(prepared)
+                traced.append((wl.run(prepared), tracer))
             finally:
-                run_wall = time.perf_counter() - t2
                 inst.uninstall()
-            traced.append((traced_unit, tracer, run_wall, untraced_wall))
         now = time.perf_counter()
         spent.append(now - t0)
         enough = len(units) >= (1 if trace else MIN_UNITS)
@@ -105,7 +99,7 @@ def _report(wl, args, units, setups, traced, import_s) -> int:
           f"trace {args.trace}")
     knobs = " ".join(f"{k}={v}" for k, v in implementation_knobs().items())
     print(f"implementation knobs (defaults): {knobs}")
-    all_units = units + [u for u, *_ in traced]
+    all_units = units + [u for u, _ in traced]
     bad = _violations(wl, all_units)
     print(f"units {len(units)} untraced, {len(traced)} traced")
     for u in units:
@@ -126,16 +120,17 @@ def _report(wl, args, units, setups, traced, import_s) -> int:
         print(f"gen_lag_p99_ms {metrics.percentile(lags, 99):.4f} "
               f"({len(lags)} dispatches)")
     if args.trace:
+        base = statistics.median(u.wall_s for u in units)
         per_unit = []
-        for unit, tracer, run_wall, untraced_wall in traced:
+        for unit, tracer in traced:
             merged = tracer.merged()
-            per_unit.append(metrics.per_layer(
-                merged, unit, untraced_wall, run_wall / untraced_wall))
-            covered = sum(merged["layers"].values()) / untraced_wall
-            print(f"traced unit: wall {run_wall:.3f} s vs {untraced_wall:.3f}"
-                  f" s untraced; tracer cost {merged['overhead_s']:.3f} s; "
-                  f"layer self times cover {covered:.1%} of the untraced "
-                  f"wall")
+            per_unit.append(metrics.per_layer(merged, unit, base))
+            traced_s = unit.wall_s - merged["overhead_s"]
+            covered = sum(merged["layers"].values()) / traced_s
+            print(f"traced unit: wall {unit.wall_s:.3f} s vs {base:.3f} s "
+                  f"untraced (median); tracer cost "
+                  f"{merged['overhead_s']:.3f} s; layer self times cover "
+                  f"{covered:.1%} of the rest")
         values = {name: statistics.median(m[name] for m in per_unit)
                   for name, _ in metrics.PER_LAYER}
         table = metrics.PER_LAYER

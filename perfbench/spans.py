@@ -96,6 +96,8 @@ class _ThreadState:
         #: (name, layer, start, end, span id, parent id, op id); tuples of
         #: plain values, which the garbage collector stops tracking.
         self.spans: List[tuple] = []
+        #: Seconds spent in counter hooks, kept out of every layer.
+        self.hook_s = 0.0
 
 
 class Tracer:
@@ -178,6 +180,19 @@ class Tracer:
     def count(self, key: str, n: float = 1) -> None:
         counters = self.state().counters
         counters[key] = counters.get(key, 0) + n
+
+    def hide(self, t0: float) -> None:
+        """Keep the time since ``t0``, a counter hook's, out of every layer.
+
+        The hook runs between spans, so its time would land in the
+        enclosing span's self time; it is booked there as child time
+        instead, and reported with the tracer's own cost.
+        """
+        dt = perf_counter() - t0
+        st = self.state()
+        if st.stack:
+            st.stack[-1][_CHILD] += dt
+        st.hook_s += dt
 
     def finish_op(self, op: _Op, ok: bool) -> None:
         st = self.state()
@@ -264,6 +279,7 @@ class Tracer:
                     layers[v[_LAYER]] = (layers.get(v[_LAYER], 0.0)
                                          + v[_SELF] - own)
                     overhead += own
+            overhead += st.hook_s
             leaf_s = st.leaf[0] - st.leaf[1] * cost["leaf"]
             layers[LEAF_LAYER] = layers.get(LEAF_LAYER, 0.0) + leaf_s
             overhead += st.leaf[1] * cost["leaf"]
@@ -336,12 +352,14 @@ def write_chrome(path: str, events: List[dict]) -> None:
 # -- wrappers -----------------------------------------------------------------
 
 def _plain(tracer: Tracer, fn: Callable, name: str, layer: str,
-           before: Optional[Callable] = None,
            after: Optional[Callable] = None) -> Callable:
+    """A span around each call of ``fn``.
+
+    ``after(tracer, args, result)`` is a counter hook; it runs outside the
+    span and its time is kept out of every layer (:meth:`Tracer.hide`).
+    """
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        if before is not None:
-            before(tracer, args)
         frame = tracer.enter(name, layer)
         try:
             result = fn(*args, **kwargs)
@@ -350,7 +368,9 @@ def _plain(tracer: Tracer, fn: Callable, name: str, layer: str,
             raise
         tracer.exit(frame, 1)
         if after is not None:
+            t0 = perf_counter()
             after(tracer, args, result)
+            tracer.hide(t0)
         return result
     return wrapper
 
@@ -408,11 +428,27 @@ class Installation:
             setattr(owner, attr, original)
 
 
-def _count_queue_get(tracer: Tracer, args) -> None:
-    tracer.count("queue.examined", len(args[0]))
+def _count_queue_get(tracer: Tracer, args, result) -> None:
+    """Count the messages a ``QueueState.get_message`` examined.
 
-
-def _count_queue_returned(tracer: Tracer, args, result) -> None:
+    Without the reordering model a get scans the message list in order
+    and stops at the first visible message, the one it returns; it scans
+    the whole list when it returns nothing or when the reordering model
+    is on.  The count reads the list directly, through no traced method.
+    A queue state without that list is not counted, so a change to the
+    queue's data structure leaves the traced run working.
+    """
+    q = args[0]
+    try:
+        messages = q._messages
+        examined = len(messages)
+        if result is not None and q._service._reorder_rng is None:
+            mid = result.message_id
+            examined = next(i for i, m in enumerate(messages)
+                            if m.message_id == mid) + 1
+    except (AttributeError, TypeError, StopIteration):
+        return
+    tracer.count("queue.examined", examined)
     if result is not None:
         tracer.count("queue.returned")
 
@@ -504,8 +540,7 @@ def install(tracer: Tracer) -> Installation:
             fn = cls.__dict__[attr]
             name = f"{layer}.{attr}"
             if cls is QueueState and attr == "get_message":
-                wrapper = _plain(t, fn, name, layer, before=_count_queue_get,
-                                 after=_count_queue_returned)
+                wrapper = _plain(t, fn, name, layer, after=_count_queue_get)
             elif cls is TableState and attr == "query_partition":
                 wrapper = _plain(t, fn, name, layer, after=_count_rows)
             else:

@@ -116,12 +116,12 @@ class LoadWorkload:
         return LoadConfig(arrivals=ArrivalSpec("poisson", self.rate, seed),
                           duration=self.duration, mix=self.mix)
 
-    def setup(self, seed: int, unit: int):
-        config = self.config(seed)
-        return config, build_schedule(config)
+    def setup(self, seed: int, unit: int) -> LoadConfig:
+        # ``run_load`` builds the schedule and boots the account itself,
+        # so both are timed with the run.
+        return self.config(seed)
 
-    def run(self, prepared) -> Unit:
-        config, schedule = prepared
+    def run(self, config: LoadConfig) -> Unit:
         original = traffic_engine.StatsAggregator
         traffic_engine.StatsAggregator = _RawLatencies
         try:
@@ -133,7 +133,8 @@ class LoadWorkload:
         agg = result.aggregator
         totals = agg.totals()
         violations = []
-        n = len(schedule)
+        # The expected op count, from a schedule built outside the timers.
+        n = len(build_schedule(config))
         if not (totals["arrivals"] == totals["completions"] == n
                 == len(agg.samples)):
             violations.append(
@@ -271,7 +272,7 @@ class ServeWorkload:
     def unit_seed(seed: int, unit: int) -> int:
         """Each unit replays its own schedule.
 
-        A window holds only about 500 arrivals, so one schedule's
+        A window holds only about 240 arrivals, so one schedule's
         burstiness would otherwise set every unit of the run.
         """
         return seed * 1000 + unit
@@ -463,13 +464,16 @@ def check_serve_reads(schedule, reads: Dict[int, object],
     return bad[:5] + ([f"... {len(bad) - 5} more"] if len(bad) > 5 else [])
 
 
-#: name -> workload.  Sizes are chosen so one unit takes about 2 to 8 s on
-#: a 2-core host and a 28 s run holds several units (see README.md).
+#: name -> workload.  Sizes are chosen so one unit takes about 1 to 5 s on
+#: a 2-core host and a 28 s run holds several units, whose median evens
+#: out the host's second-to-second speed changes (see README.md).
+#: ``load-queue`` needs its 50 simulated seconds: the queue's backlog, and
+#: with it the get scan, only builds up over the run.
 WORKLOADS = {
     "load-queue": LoadWorkload("load-queue", "queue", rate=400.0,
                                duration=50.0),
     "load-table": LoadWorkload("load-table", "table", rate=400.0,
                                duration=24.0),
     "paper-fig7": Fig7Workload(),
-    "serve-mixed": ServeWorkload(rate=120.0, window_s=4.0),
+    "serve-mixed": ServeWorkload(rate=120.0, window_s=2.0),
 }
