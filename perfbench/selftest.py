@@ -1,4 +1,4 @@
-"""Self-test of the benchmark at a tiny size (about half a minute).
+"""Self-test of the benchmark at a tiny size (about a minute).
 
 Run from the root of the repository::
 
@@ -9,6 +9,7 @@ It checks that:
 * the metric tables in ``metrics.py`` match ``BENCHMARK.json``;
 * every workload, shrunk, prints every named metric with its unit, both
   untraced and traced, and passes its correctness checks;
+* a real untraced run starts its worker processes and passes;
 * a corrupted read-back, a failed live op and a digest that differs
   between units each make the run report ``correct: false`` and exit 1;
 * the command fails (exit 2, no result line) in a directory that holds
@@ -27,9 +28,11 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 import run  # sets up the import path to the program
 
+import hostspeed
 import metrics
 import workloads
 from workloads import Fig7Workload, LoadWorkload, ServeWorkload
@@ -49,13 +52,33 @@ def tiny_workloads():
 
 
 def run_once(wl, trace: bool):
-    """One shrunk run through the real runner; (exit code, output)."""
+    """One shrunk run through the real runner; (exit code, output).
+
+    An untraced run measures two workers in this process, one after the
+    other, as ``run.py`` does in fresh processes.
+    """
     args = run._parse(["--workload", wl.name, "--seed", str(SEED),
                        "--seconds", "0.01", "--trace", str(int(trace))])
-    units, setups, traced = run._time_units(wl, SEED, 0.01, trace)
+    sampler = hostspeed.Sampler()
+    sampler.start()
+    try:
+        t0 = time.perf_counter()
+        imported = sampler.phase(t0, t0)
+        if trace:
+            units, _, traced = run._time_units(wl, SEED, 0.01, True,
+                                               sampler)
+        else:
+            results = [run.measure(wl, SEED, 0.01, sampler, imported,
+                                   first_unit=w * run.WORKER_UNIT_STRIDE)
+                       for w in range(2)]
+    finally:
+        sampler.stop()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = run._report(wl, args, units, setups, traced, 0.5)
+        if trace:
+            code = run.report_traced(wl, args, units, traced)
+        else:
+            code = run.report_end_to_end(wl, args, results)
     return code, out.getvalue()
 
 
@@ -84,7 +107,8 @@ class FailOneOp(ServeWorkload):
 
 
 class DriftingDigest(LoadWorkload):
-    """Reports a different digest from its second unit on."""
+    """Reports a different digest from its second unit on (its second
+    worker's first unit)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -142,6 +166,21 @@ def check_violation(label, wl, problems) -> None:
         problems.append(f"{label} was not caught (exit {code})")
 
 
+def check_workers(problems) -> None:
+    """A real untraced run: its workers are fresh processes."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "paper-fig7",
+         "--seed", str(SEED), "--seconds", "1", "--trace", "0"],
+        cwd=run.ROOT, capture_output=True, text=True, timeout=180)
+    lines = proc.stdout.strip().splitlines()
+    workers = sum(1 for line in lines if line.startswith("worker "))
+    if (proc.returncode != 0 or not lines
+            or json.loads(lines[-1])["correct"] is not True
+            or workers < run.MIN_WORKERS):
+        problems.append(f"a real untraced run failed (exit "
+                        f"{proc.returncode}, {workers} workers)")
+
+
 def check_bare_directory(problems) -> None:
     """Only BENCHMARK.json and perfbench/: the command must fail."""
     scratch = os.path.join(run.ROOT, ".perfbench")
@@ -177,6 +216,7 @@ def main() -> int:
     check_violation("a digest that differs between units",
                     DriftingDigest("load-queue", "queue", rate=50.0,
                                    duration=2.0), problems)
+    check_workers(problems)
     check_bare_directory(problems)
     for p in problems:
         print(f"FAIL {p}")

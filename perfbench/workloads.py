@@ -76,6 +76,11 @@ class Unit:
     gen_lag_ms: List[float] = field(default_factory=list)
     #: Correctness violations found in this unit.
     violations: List[str] = field(default_factory=list)
+    #: ``perf_counter()`` when the timed part began.
+    t0: float = 0.0
+    #: The host's speed during the timed part (a ``hostspeed.Phase``),
+    #: set by the runner once the unit is done.
+    phase: Optional[object] = None
 
 
 def _cpu() -> float:
@@ -105,16 +110,18 @@ class LoadWorkload:
 
     clock = "simulated"
 
-    def __init__(self, name: str, mix: str, rate: float,
-                 duration: float) -> None:
+    def __init__(self, name: str, mix: str, rate: float, duration: float,
+                 payload_bytes: int = PAYLOAD_BYTES) -> None:
         self.name = name
         self.mix = mix
         self.rate = rate
         self.duration = duration
+        self.payload_bytes = payload_bytes
 
     def config(self, seed: int) -> LoadConfig:
         return LoadConfig(arrivals=ArrivalSpec("poisson", self.rate, seed),
-                          duration=self.duration, mix=self.mix)
+                          duration=self.duration, mix=self.mix,
+                          payload_bytes=self.payload_bytes)
 
     def setup(self, seed: int, unit: int) -> LoadConfig:
         # ``run_load`` builds the schedule and boots the account itself,
@@ -142,7 +149,7 @@ class LoadWorkload:
                 f"arrived, {totals['completions']} completed, "
                 f"{len(agg.samples)} recorded")
         return Unit(attempted=n, ops=totals["completions"], wall_s=wall,
-                    cpu_s=cpu,
+                    cpu_s=cpu, t0=wall0,
                     latencies_ms=[s * 1e3 for s in agg.samples],
                     digest=result.digest,
                     inputs=config.arrivals.seed,
@@ -206,7 +213,7 @@ class Fig7Workload:
                      for r in records if r.ops]
         ops = sum(r.ops for r in records)
         return Unit(attempted=ops, ops=ops, wall_s=wall, cpu_s=cpu,
-                    latencies_ms=latencies,
+                    t0=wall0, latencies_ms=latencies,
                     digest=fig7_digest(sweep), inputs=scale.seed,
                     violations=violations)
 
@@ -263,6 +270,12 @@ class ServeWorkload:
 
     name = "serve-mixed"
     clock = "wall"
+    #: The runner keeps the process on one core.  Every thread shares one
+    #: interpreter lock, so the tier runs one thread at a time anyway;
+    #: on one core it is spared cross-core hand-offs of that lock (about
+    #: a quarter of its CPU per op on a 2-core host), and the host-speed
+    #: samples time the core the whole tier runs on.
+    one_core = True
 
     def __init__(self, rate: float, window_s: float) -> None:
         self.rate = rate
@@ -272,7 +285,7 @@ class ServeWorkload:
     def unit_seed(seed: int, unit: int) -> int:
         """Each unit replays its own schedule.
 
-        A window holds only about 240 arrivals, so one schedule's
+        A window holds only about 180 arrivals, so one schedule's
         burstiness would otherwise set every unit of the run.
         """
         return seed * 1000 + unit
@@ -408,7 +421,7 @@ class ServeWorkload:
         failed = sum(1 for good, c in zip(ok, completions)
                      if not good or c != 1)
         unit = Unit(attempted=n, ops=once, wall_s=wall, cpu_s=cpu,
-                    latencies_ms=latencies,
+                    t0=origin, latencies_ms=latencies,
                     digest=schedule_digest(schedule, ok),
                     inputs=schedule_seed, failed=failed, gen_lag_ms=lag_ms,
                     violations=violations)
@@ -468,12 +481,17 @@ def check_serve_reads(schedule, reads: Dict[int, object],
 #: a 2-core host and a 28 s run holds several units, whose median evens
 #: out the host's second-to-second speed changes (see README.md).
 #: ``load-queue`` needs its 50 simulated seconds: the queue's backlog, and
-#: with it the get scan, only builds up over the run.
+#: with it the get scan, only builds up over the run.  ``load-table``
+#: writes 512-byte entities, not the default 4 KiB: a query does the same
+#: work either way (the same rows, one ``entity_size`` call each, which
+#: reads only string lengths), but 4 KiB values spread the partition's
+#: entities over several times the memory, and the host's neighbours then set
+#: its speed (README.md, "Measured").
 WORKLOADS = {
     "load-queue": LoadWorkload("load-queue", "queue", rate=400.0,
                                duration=50.0),
     "load-table": LoadWorkload("load-table", "table", rate=400.0,
-                               duration=24.0),
+                               duration=24.0, payload_bytes=512),
     "paper-fig7": Fig7Workload(),
-    "serve-mixed": ServeWorkload(rate=120.0, window_s=2.0),
+    "serve-mixed": ServeWorkload(rate=60.0, window_s=3.0),
 }
