@@ -7,9 +7,12 @@ when tracked over time) for the two hot layers this codebase optimizes:
   Environment` turns over its event loop, measured with the dominant
   sleep-then-resume pattern (``yield env.timeout(...)`` ping processes);
 * **sweep wall-clock** — how long one figure campaign takes serially vs
-  fanned out with :class:`~repro.bench.executor.SweepExecutor`.
+  fanned out with :class:`~repro.bench.executor.SweepExecutor`;
+* **flatness** — flock ops/sec of the queue and table mixes over a short
+  and a long run; a per-op cost that grows with stored state shows as a
+  long/short ratio well below 1.
 
-:func:`run_perf` packages both into the ``BENCH_core.json`` document.
+:func:`run_perf` packages them into the ``BENCH_core.json`` document.
 The committed copy (``benchmarks/perf/BENCH_core.json``) is the
 trajectory future PRs regress against: CI re-measures and
 :func:`check_regression` fails the build when kernel events/sec drops
@@ -37,6 +40,7 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "kernel_events_per_sec",
     "flock_load_metrics",
+    "flatness_metrics",
     "sweep_wall_clock",
     "run_perf",
     "check_regression",
@@ -46,6 +50,7 @@ __all__ = [
 
 #: Schema 2 adds the calendar-scheduler kernel figure
 #: (``kernel_calendar``) and the flock-mode scale figure (``flock``).
+#: The ``flatness`` block is additive: older schema-2 documents lack it.
 BENCH_SCHEMA_VERSION = 2
 
 #: Default kernel microbenchmark shape: 100 concurrent sleepers x 2,000
@@ -98,11 +103,12 @@ def kernel_events_per_sec(*, procs: int = KERNEL_PROCS,
 def flock_load_metrics(*, clients: int = 1_000_000,
                        per_client_rate: float = 0.001,
                        duration: float = 10.0,
-                       flock_size: int = 8192) -> Dict[str, object]:
+                       flock_size: int = 8192,
+                       mix: str = "queue") -> Dict[str, object]:
     """Flock-mode ops/sec + peak RSS: the million-client scale figure.
 
-    Runs one seeded open-loop ``repro load`` with the columnar flock
-    path on the calendar scheduler; the offered rate is
+    Runs one seeded open-loop ``repro load`` of ``mix`` with the
+    columnar flock path on the calendar scheduler; the offered rate is
     ``clients * per_client_rate`` ops/s.  Peak RSS is the process
     high-water mark, so run this before anything memory-hungry when the
     number matters.
@@ -111,7 +117,7 @@ def flock_load_metrics(*, clients: int = 1_000_000,
 
     config = LoadConfig(
         arrivals=ArrivalSpec(rate=per_client_rate),
-        duration=duration, mix="queue", clients=clients,
+        duration=duration, mix=mix, clients=clients,
         flock_size=flock_size, scheduler="calendar")
     result = run_load(config)
     res = result.resources or {}
@@ -127,6 +133,43 @@ def flock_load_metrics(*, clients: int = 1_000_000,
         "peak_rss_mb": res.get("peak_rss_mb"),
         "kernel_events_per_sec": res.get("kernel_events_per_sec"),
     }
+
+
+#: Mixes and simulated durations of the flatness line.  Stored state grows
+#: with the run (queue messages, table rows), so three times the duration
+#: means about three times the state by the end.
+FLATNESS_MIXES = ("queue", "table")
+FLATNESS_DURATIONS = (10.0, 30.0)
+
+
+def flatness_metrics(*, durations=FLATNESS_DURATIONS,
+                     clients: int = 1_000_000,
+                     per_client_rate: float = 0.001,
+                     flock_size: int = 8192) -> Dict[str, object]:
+    """Flock ops/sec of each mix at a short and a long duration.
+
+    ``ratio`` is long-run over short-run ops/sec: near 1 when each op
+    costs the same however much state is stored, and falling as the
+    per-op cost grows with it (each run's wall time includes building
+    its schedule, like the ``repro load`` figure it mirrors).
+    """
+    short, long_ = durations
+    out: Dict[str, object] = {
+        "clients": clients, "per_client_rate": per_client_rate,
+        "flock_size": flock_size,
+        "durations_s": [short, long_],
+    }
+    for mix in FLATNESS_MIXES:
+        rates = [flock_load_metrics(
+            clients=clients, per_client_rate=per_client_rate,
+            duration=d, flock_size=flock_size, mix=mix)["ops_per_sec"]
+            for d in (short, long_)]
+        out[mix] = {
+            "ops_per_sec": rates,
+            "ratio": (round(rates[1] / rates[0], 3)
+                      if rates[0] and rates[1] else None),
+        }
+    return out
 
 
 def sweep_wall_clock(labels: List[str], scale, *,
@@ -200,6 +243,14 @@ def run_perf(*, quick: bool = False, jobs: Optional[int] = None,
         f"{flock['ops_per_sec']:,.0f} ops/sec at "
         f"{flock['peak_rss_mb']} MB peak RSS")
 
+    log(f"flatness: {'/'.join(FLATNESS_MIXES)} mixes at "
+        f"{FLATNESS_DURATIONS[0]:g} s and {FLATNESS_DURATIONS[1]:g} s ...")
+    flatness = flatness_metrics()
+    for mix in FLATNESS_MIXES:
+        short, long_ = flatness[mix]["ops_per_sec"]
+        log(f"flatness ({mix}): {short:,.0f} -> {long_:,.0f} ops/sec "
+            f"(ratio {flatness[mix]['ratio']})")
+
     labels = ["fig6"] if quick else list(SWEEP_BUILDERS)
     log(f"sweep: {labels} at {QUICK_SCALE.name} scale, serial vs "
         f"--jobs {jobs} ...")
@@ -214,6 +265,7 @@ def run_perf(*, quick: bool = False, jobs: Optional[int] = None,
         "kernel": kernel,
         "kernel_calendar": kernel_calendar,
         "flock": flock,
+        "flatness": flatness,
         "sweeps": sweeps,
     }
     if baseline is not None:

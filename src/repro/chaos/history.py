@@ -141,7 +141,7 @@ class History:
     def snapshot_final_state(self, state) -> None:
         """Record what survived the run (queues + table entity counts)."""
         for name, queue in state.queues.queues.items():
-            for msg in queue._messages:
+            for msg in queue.messages():
                 self.remaining.append((name, msg.message_id))
         for name in state.tables.list_tables():
             table = state.tables.get_table(name)

@@ -516,7 +516,7 @@ def run_elasticity(profile: str = "region-outage", seed: int = 0, *,
         def backlog_fn() -> int:
             queues = geo.state.queues.queues
             return sum(
-                len(queues[config.task_queue_name(i)]._messages)
+                len(queues[config.task_queue_name(i)].messages())
                 for i in range(config.task_queues)
                 if config.task_queue_name(i) in queues)
 

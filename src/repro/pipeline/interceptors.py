@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from ..storage.errors import ServerBusyError
+from ..storage.analytics import RequestRecord
+from ..storage.errors import ServerBusyError, StorageError
 from .context import OpContext
 
 __all__ = [
@@ -173,7 +174,6 @@ class AnalyticsInterceptor(Interceptor):
         self.metrics.observe(record)
 
     def after(self, ctx: OpContext) -> None:
-        from ..storage.analytics import RequestRecord
         op = ctx.op
         self._observe(RequestRecord(
             time=ctx.started_at, service=op.service.value,
@@ -185,8 +185,6 @@ class AnalyticsInterceptor(Interceptor):
         ))
 
     def failed(self, ctx: OpContext, exc: BaseException) -> None:
-        from ..storage.analytics import RequestRecord
-        from ..storage.errors import StorageError
         if not isinstance(exc, StorageError):
             return  # non-protocol failures never produced a $logs line
         op = ctx.op
@@ -294,7 +292,25 @@ class ThrottleInterceptor(Interceptor):
     def __init__(self, limits, *, window_s: float = 1.0,
                  retry_after_s: float = 1.0,
                  on_busy: Optional[Callable[[], None]] = None) -> None:
+        # ``repro.cluster`` imports this module, so its names cannot be
+        # module-level imports here; they are bound once per instance.
+        from ..cluster.ops import OpKind, Service
         from ..cluster.ratelimit import SlidingWindowThrottle
+        self._window_cls = SlidingWindowThrottle
+        self._cache = Service.CACHE
+        self._queue = Service.QUEUE
+        self._table = Service.TABLE
+        #: Kinds charged against the per-queue and per-partition targets.
+        self._queue_kinds = (
+            OpKind.PUT_MESSAGE, OpKind.GET_MESSAGE,
+            OpKind.PEEK_MESSAGE, OpKind.DELETE_MESSAGE,
+            OpKind.UPDATE_MESSAGE,
+        )
+        self._table_kinds = (
+            OpKind.INSERT_ENTITY, OpKind.QUERY_ENTITY,
+            OpKind.UPDATE_ENTITY, OpKind.MERGE_ENTITY,
+            OpKind.DELETE_ENTITY, OpKind.BATCH,
+        )
         self.limits = limits
         self.window_s = window_s
         self.retry_after_s = retry_after_s
@@ -311,10 +327,9 @@ class ThrottleInterceptor(Interceptor):
         self.partition_throttles = {}
 
     def queue_throttle(self, partition: str):
-        from ..cluster.ratelimit import SlidingWindowThrottle
         throttle = self.queue_throttles.get(partition)
         if throttle is None:
-            throttle = SlidingWindowThrottle(
+            throttle = self._window_cls(
                 self.limits.queue_messages_per_second, self.window_s,
                 name=f"queue {partition!r} messages",
                 retry_after=self.retry_after_s,
@@ -323,10 +338,9 @@ class ThrottleInterceptor(Interceptor):
         return throttle
 
     def partition_throttle(self, partition: str):
-        from ..cluster.ratelimit import SlidingWindowThrottle
         throttle = self.partition_throttles.get(partition)
         if throttle is None:
-            throttle = SlidingWindowThrottle(
+            throttle = self._window_cls(
                 self.limits.partition_entities_per_second, self.window_s,
                 name=f"table partition {partition!r} entities",
                 retry_after=self.retry_after_s,
@@ -335,9 +349,8 @@ class ThrottleInterceptor(Interceptor):
         return throttle
 
     def before(self, ctx: OpContext) -> None:
-        from ..cluster.ops import OpKind, Service
         op = ctx.op
-        if op.service is Service.CACHE:
+        if op.service is self._cache:
             # Billed and scaled separately from the storage account: cache
             # ops do not count against the 5,000 tx/s or 3 GB/s targets.
             return
@@ -346,17 +359,9 @@ class ThrottleInterceptor(Interceptor):
             self.account_tx.charge(now, op.units)
             if op.nbytes:
                 self.account_bw.charge(now, op.nbytes)
-            if op.service is Service.QUEUE and op.kind in (
-                OpKind.PUT_MESSAGE, OpKind.GET_MESSAGE,
-                OpKind.PEEK_MESSAGE, OpKind.DELETE_MESSAGE,
-                OpKind.UPDATE_MESSAGE,
-            ):
+            if op.service is self._queue and op.kind in self._queue_kinds:
                 self.queue_throttle(op.partition).charge(now, op.units)
-            elif op.service is Service.TABLE and op.kind in (
-                OpKind.INSERT_ENTITY, OpKind.QUERY_ENTITY,
-                OpKind.UPDATE_ENTITY, OpKind.MERGE_ENTITY,
-                OpKind.DELETE_ENTITY, OpKind.BATCH,
-            ):
+            elif op.service is self._table and op.kind in self._table_kinds:
                 self.partition_throttle(op.partition).charge(now, op.units)
         except Exception:
             if self.on_busy is not None:

@@ -347,9 +347,8 @@ def put_message(call, queue: str, data, *, ttl: Optional[float] = None,
 
 
 def _next_visible_size(call, queue: str) -> int:
-    q = call.state.queues.get_queue(queue)
-    peeked = q.peek_messages(1)
-    return peeked[0].size if peeked else 0
+    sizes = call.state.queues.get_queue(queue).visible_sizes(1)
+    return sizes[0] if sizes else 0
 
 
 @_operation("queue")
@@ -375,11 +374,10 @@ def get_messages(call, queue: str, n: int = 1, *,
     if not 1 <= n <= 32:
         raise ValueError("n must be in 1..32 (2012 API limit)")
     q = call.state.queues.get_queue(queue)
-    visible = q.peek_messages(n)
-    nbytes = sum(m.size for m in visible)
+    sizes = q.visible_sizes(n)
     yield OpDescriptor(
         Service.QUEUE, OpKind.GET_MESSAGE, partition=queue,
-        nbytes=nbytes, units=max(1, len(visible)))
+        nbytes=sum(sizes), units=max(1, len(sizes)))
     got = q.get_messages(n, visibility_timeout=visibility_timeout)
     for m in got:
         if call.duplicate_delivery(queue):

@@ -264,7 +264,7 @@ def _fabric_manifest(shard: _Shard) -> Dict[str, list]:
     blobs = sorted((c.name, b) for c in state.blobs.containers.values()
                    for b in c.blobs)
     queues = sorted(name for name, q in state.queues.queues.items()
-                    if q._messages)
+                    if q.messages())
     partitions = sorted({pk for t in state.tables.tables.values()
                          for pk, rows in t._partitions.items() if rows})
     return {"blobs": blobs, "queues": queues, "partitions": partitions}
@@ -306,7 +306,7 @@ def _fabric_import_blob(shard: _Shard, route_key: str,
 def _fabric_export_queue(shard: _Shard, route_key: str) -> list:
     queue = shard.state.queues.get_queue(route_key)
     now = queue._now()
-    return [m.content for m in queue._messages if not m.expired(now)]
+    return [m.content for m in queue.messages() if not m.expired(now)]
 
 
 def _fabric_import_queue(shard: _Shard, route_key: str,

@@ -17,9 +17,11 @@ Implements the behaviours the paper's Algorithms 2-4 depend on:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple, ValuesView
 
 import numpy as np
 
@@ -40,6 +42,8 @@ __all__ = ["QueueServiceState", "QueueState", "QueueMessage"]
 #: Metadata overhead per message: of the 64 KB wire limit only 48 KB carry
 #: payload ("rest of the message content is metadata", paper IV.B).
 _MESSAGE_OVERHEAD_FACTOR = 4 / 3
+
+_INF = float("inf")
 
 
 @dataclass
@@ -67,20 +71,93 @@ class QueueMessage:
         return self.content.size
 
 
+class _FifoIndex:
+    """Sorted sequence numbers, cheap to take from and put back at the front.
+
+    The live entries are ``seqs[head:]``.  Removing the first one (what a
+    FIFO get does) advances ``head`` instead of shifting the whole list,
+    and an entry older than every live one (a message whose visibility
+    timeout lapsed) takes the free slot in front of them.  Other entries
+    are inserted and removed in place, found by ``bisect``.
+    """
+
+    __slots__ = ("seqs", "head")
+
+    def __init__(self, seqs: Iterable[int] = ()) -> None:
+        self.seqs: List[int] = list(seqs)
+        self.head = 0
+
+    def __len__(self) -> int:
+        return len(self.seqs) - self.head
+
+    def live(self) -> List[int]:
+        return self.seqs[self.head:]
+
+    def first(self, n: int) -> List[int]:
+        return self.seqs[self.head:self.head + n]
+
+    def add(self, seq: int) -> None:
+        seqs, head = self.seqs, self.head
+        i = bisect_left(seqs, seq, head)
+        if i < len(seqs) and seqs[i] == seq:
+            return
+        if i == head and head:
+            self.head = head - 1
+            seqs[head - 1] = seq
+        else:
+            seqs.insert(i, seq)
+
+    def discard(self, seq: int) -> None:
+        seqs, head = self.seqs, self.head
+        i = bisect_left(seqs, seq, head)
+        if i == len(seqs) or seqs[i] != seq:
+            return
+        if i != head:
+            del seqs[i]
+            return
+        head += 1
+        if 2 * head > len(seqs):
+            del seqs[:head]
+            head = 0
+        self.head = head
+
+
 class QueueState:
-    """One named queue: an (approximately FIFO) list of messages."""
+    """One named queue: an (approximately FIFO) list of messages.
+
+    Messages live in a dict keyed by their sequence number, so insertion
+    order is FIFO order and a lookup by id is O(1).  Two indexes keep
+    every operation's cost independent of how many messages are stored:
+
+    * ``_visible``: the sorted sequence numbers of the messages indexed as
+      visible, i.e. FIFO order over the visible messages (a
+      :class:`_FifoIndex`);
+    * ``_hidden``: a lazy ``(next_visible_time, seq)`` heap of the other
+      messages.  An entry whose message was deleted or got a new
+      visibility time since is skipped when it is popped.
+
+    A message joins ``_visible`` once the clock reaches its
+    ``next_visible_time``.  The clock may also go *back* (a geo replica
+    replays writes on a clock pinned to the primary's earlier instants),
+    so ``_visible_until`` bounds the visibility times in ``_visible``:
+    below it, indexed messages that are not yet visible are skipped.
+    """
 
     def __init__(self, service: "QueueServiceState", name: str) -> None:
         self._service = service
         self.name = validate_queue_name(name)
-        self._messages: List[QueueMessage] = []
+        self._by_seq: Dict[int, QueueMessage] = {}
+        self._seq_of: Dict[str, int] = {}
+        self._visible = _FifoIndex()
+        self._visible_until = -_INF
+        self._hidden: List[Tuple[float, int]] = []
         self._ids = count(1)
         self._receipts = count(1)
         self.created_at = service._clock.now()
         #: Earliest expiration among stored messages; a full purge scan only
         #: runs once the clock passes it (keeps per-op cost O(1) while the
         #: 7-day TTL is far away, which is every benchmark).
-        self._next_expiry = float("inf")
+        self._next_expiry = _INF
 
     # -- internal ---------------------------------------------------------
     def _now(self) -> float:
@@ -90,39 +167,98 @@ class QueueState:
         now = self._now()
         if now < self._next_expiry:
             return
-        kept = []
-        next_expiry = float("inf")
-        for m in self._messages:
+        kept: Dict[int, QueueMessage] = {}
+        next_expiry = _INF
+        for seq, m in self._by_seq.items():
             if m.expired(now):
                 self._service._account_delta(-m.size)
+                del self._seq_of[m.message_id]
             else:
-                kept.append(m)
+                kept[seq] = m
                 if m.expiration_time < next_expiry:
                     next_expiry = m.expiration_time
-        self._messages = kept
+        self._by_seq = kept
+        self._visible = _FifoIndex(
+            s for s in self._visible.live() if s in kept)
         self._next_expiry = next_expiry
 
-    def _visible_indices(self, limit: Optional[int] = None) -> List[int]:
-        now = self._now()
+    def _list(self, seq: int, m: QueueMessage) -> None:
+        self._visible.add(seq)
+        if m.next_visible_time > self._visible_until:
+            self._visible_until = m.next_visible_time
+
+    def _set_visible_at(self, seq: int, m: QueueMessage, when: float,
+                        now: float) -> None:
+        """Set ``m``'s visibility time and file it under the right index."""
+        m.next_visible_time = when
+        if when <= now:
+            self._list(seq, m)
+            return
+        self._visible.discard(seq)
+        heappush(self._hidden, (when, seq))
+        if len(self._hidden) > 2 * len(self._by_seq) + 64:
+            # Mostly stale entries: rebuild from the unlisted messages.
+            listed = set(self._visible.live())
+            self._hidden = [(x.next_visible_time, s)
+                            for s, x in self._by_seq.items()
+                            if s not in listed]
+            heapify(self._hidden)
+
+    def _visible_seqs(self, now: float) -> _FifoIndex:
+        """Sequence numbers of the messages visible at ``now``, FIFO order.
+
+        May return the index itself: callers must not mutate it.
+        """
+        hidden = self._hidden
+        by_seq = self._by_seq
+        while hidden and hidden[0][0] <= now:
+            seq = heappop(hidden)[1]
+            m = by_seq.get(seq)
+            if m is not None and m.next_visible_time <= now:
+                self._list(seq, m)
+        if now >= self._visible_until:
+            return self._visible
+        # The clock went back: skip indexed messages not yet visible, and
+        # tighten the bound so the fast path resumes once time catches up.
+        seqs = []
+        until = -_INF
+        for s in self._visible.live():
+            t = by_seq[s].next_visible_time
+            if t <= now:
+                seqs.append(s)
+            if t > until:
+                until = t
+        self._visible_until = until
+        return _FifoIndex(seqs)
+
+    def _select(self, limit: int) -> List[QueueMessage]:
+        """The live messages a get or peek of ``limit`` would return."""
+        visible = self._visible_seqs(self._now())
         rng = self._service._reorder_rng
-        if rng is None and limit is not None:
-            # FIFO fast path: only the first ``limit`` visible messages are
-            # needed; stop scanning as soon as they are found.
-            idx: List[int] = []
-            for i, m in enumerate(self._messages):
-                if m.visible(now):
-                    idx.append(i)
-                    if len(idx) >= limit:
-                        break
-            return idx
-        idx = [i for i, m in enumerate(self._messages) if m.visible(now)]
-        if rng is not None and len(idx) > 1:
+        if rng is not None and len(visible) > 1:
             # Model the lack of a FIFO guarantee: the storage front-ends may
             # serve any visible message. A light shuffle keeps it almost-FIFO
             # like the real service while exercising the non-FIFO code paths.
-            perm = rng.permutation(len(idx))
-            idx = [idx[i] for i in perm]
-        return idx
+            # The whole permutation is drawn, as many values as there are
+            # visible messages, so the generator's stream does not depend
+            # on ``limit``.
+            live = visible.live()
+            seqs = [live[i] for i in rng.permutation(len(live))[:limit]]
+        else:
+            seqs = visible.first(limit)
+        by_seq = self._by_seq
+        return [by_seq[s] for s in seqs]
+
+    def _find(self, message_id: str, pop_receipt: str, what: str
+              ) -> Tuple[int, QueueMessage]:
+        seq = self._seq_of.get(message_id)
+        if seq is None:
+            raise MessageNotFoundError(f"message {message_id!r} not found")
+        m = self._by_seq[seq]
+        if m.pop_receipt != pop_receipt or pop_receipt is None:
+            raise MessageNotFoundError(
+                f"pop receipt {pop_receipt!r} no longer valid{what}")
+        return seq, m
 
     # -- producer API -------------------------------------------------------
     def put_message(self, data, *, ttl: Optional[float] = None,
@@ -148,8 +284,9 @@ class QueueState:
             ttl = max_ttl
         if ttl <= 0:
             raise InvalidOperationError(f"ttl must be positive, got {ttl}")
+        seq = next(self._ids)
         msg = QueueMessage(
-            message_id=f"{self.name}-{next(self._ids)}",
+            message_id=f"{self.name}-{seq}",
             content=content,
             insertion_time=now,
             expiration_time=now + ttl,
@@ -158,7 +295,9 @@ class QueueState:
         # Charge capacity first: a rejected put must not leave the message
         # behind.
         self._service._account_delta(msg.size)
-        self._messages.append(msg)
+        self._by_seq[seq] = msg
+        self._seq_of[msg.message_id] = seq
+        self._set_visible_at(seq, msg, msg.next_visible_time, now)
         if msg.expiration_time < self._next_expiry:
             self._next_expiry = msg.expiration_time
         return replace(msg)
@@ -182,11 +321,9 @@ class QueueState:
             raise InvalidOperationError("visibility_timeout must be > 0")
         now = self._now()
         got: List[QueueMessage] = []
-        for i in self._visible_indices(limit=n):
-            if len(got) >= n:
-                break
-            m = self._messages[i]
-            m.next_visible_time = now + visibility_timeout
+        for m in self._select(n):
+            self._set_visible_at(self._seq_of[m.message_id], m,
+                                 now + visibility_timeout, now)
             m.dequeue_count += 1
             m.pop_receipt = f"rcpt-{next(self._receipts)}"
             # Hand out a snapshot: the receipt a consumer holds must not
@@ -205,52 +342,52 @@ class QueueState:
         if n < 1:
             raise InvalidOperationError("n must be >= 1")
         self._purge_expired()
-        return [replace(self._messages[i])
-                for i in self._visible_indices(limit=n)[:n]]
+        return [replace(m) for m in self._select(n)]
 
     def peek_message(self) -> Optional[QueueMessage]:
         peeked = self.peek_messages(1)
         return peeked[0] if peeked else None
 
+    def visible_sizes(self, n: int = 1) -> List[int]:
+        """Sizes of the messages ``peek_messages(n)`` would return.
+
+        Same selection and the same reordering draw as a peek, without
+        copying the messages: the cost model reads it before a get.
+        """
+        if n < 1:
+            raise InvalidOperationError("n must be >= 1")
+        self._purge_expired()
+        return [m.size for m in self._select(n)]
+
     def delete_message(self, message_id: str, pop_receipt: str) -> None:
         """Delete a previously-gotten message (receipt must match)."""
         self._purge_expired()
-        for i, m in enumerate(self._messages):
-            if m.message_id == message_id:
-                if m.pop_receipt != pop_receipt or pop_receipt is None:
-                    raise MessageNotFoundError(
-                        f"pop receipt {pop_receipt!r} no longer valid for "
-                        f"message {message_id!r}"
-                    )
-                self._service._account_delta(-m.size)
-                del self._messages[i]
-                return
-        raise MessageNotFoundError(f"message {message_id!r} not found")
+        seq, m = self._find(message_id, pop_receipt,
+                            f" for message {message_id!r}")
+        self._service._account_delta(-m.size)
+        del self._by_seq[seq]
+        del self._seq_of[message_id]
+        self._visible.discard(seq)
 
     def update_message(self, message_id: str, pop_receipt: str, data=None, *,
                        visibility_timeout: float = 0.0) -> QueueMessage:
         """Update content and/or extend invisibility of a gotten message."""
         self._purge_expired()
-        for m in self._messages:
-            if m.message_id == message_id:
-                if m.pop_receipt != pop_receipt or pop_receipt is None:
-                    raise MessageNotFoundError(
-                        f"pop receipt {pop_receipt!r} no longer valid"
-                    )
-                if data is not None:
-                    content = as_content(data)
-                    limits = self._service.limits
-                    if content.size > limits.max_message_payload_bytes:
-                        raise MessageTooLargeError(
-                            f"payload of {content.size} B exceeds "
-                            f"{limits.max_message_payload_bytes} B"
-                        )
-                    self._service._account_delta(content.size - m.size)
-                    m.content = content
-                m.next_visible_time = self._now() + max(0.0, visibility_timeout)
-                m.pop_receipt = f"rcpt-{next(self._receipts)}"
-                return replace(m)
-        raise MessageNotFoundError(f"message {message_id!r} not found")
+        seq, m = self._find(message_id, pop_receipt, "")
+        if data is not None:
+            content = as_content(data)
+            limits = self._service.limits
+            if content.size > limits.max_message_payload_bytes:
+                raise MessageTooLargeError(
+                    f"payload of {content.size} B exceeds "
+                    f"{limits.max_message_payload_bytes} B"
+                )
+            self._service._account_delta(content.size - m.size)
+            m.content = content
+        now = self._now()
+        self._set_visible_at(seq, m, now + max(0.0, visibility_timeout), now)
+        m.pop_receipt = f"rcpt-{next(self._receipts)}"
+        return replace(m)
 
     def make_visible(self, message_id: str) -> bool:
         """Force a message visible *now*, ignoring its visibility timeout.
@@ -259,19 +396,33 @@ class QueueState:
         at-least-once anomaly where a gotten message is served to another
         consumer as well.  Returns False if the message no longer exists.
         """
-        for m in self._messages:
-            if m.message_id == message_id:
-                m.next_visible_time = self._now()
-                return True
-        return False
+        seq = self._seq_of.get(message_id)
+        if seq is None:
+            return False
+        now = self._now()
+        self._set_visible_at(seq, self._by_seq[seq], now, now)
+        return True
 
     def clear(self) -> None:
         """Delete all messages."""
-        for m in self._messages:
+        for m in self._by_seq.values():
             self._service._account_delta(-m.size)
-        self._messages = []
+        self._by_seq = {}
+        self._seq_of = {}
+        self._visible = _FifoIndex()
+        self._visible_until = -_INF
+        self._hidden = []
 
     # -- introspection --------------------------------------------------------
+    def messages(self) -> ValuesView[QueueMessage]:
+        """Read-only live view of the stored messages, in FIFO order.
+
+        Includes invisible messages and, until the next operation purges
+        them, expired ones.  The messages are the queue's own records, not
+        snapshots: do not mutate them.
+        """
+        return self._by_seq.values()
+
     def approximate_message_count(self) -> int:
         """Count of non-expired messages (visible or not).
 
@@ -279,13 +430,12 @@ class QueueState:
         the real service it counts invisible messages too.
         """
         self._purge_expired()
-        return len(self._messages)
+        return len(self._by_seq)
 
     def visible_message_count(self) -> int:
         """Count of currently visible messages (test/diagnostic helper)."""
         self._purge_expired()
-        now = self._now()
-        return sum(1 for m in self._messages if m.visible(now))
+        return len(self._visible_seqs(self._now()))
 
     def partition_key(self) -> str:
         """Queues are partitioned on the queue name alone (paper IV.B)."""
@@ -340,5 +490,5 @@ class QueueServiceState:
 
     def total_bytes(self) -> int:
         return sum(
-            m.size for q in self.queues.values() for m in q._messages
+            m.size for q in self.queues.values() for m in q.messages()
         )

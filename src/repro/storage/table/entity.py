@@ -61,9 +61,13 @@ class Entity:
 
     Immutable from the outside; the table state machine produces new
     instances on update/merge so snapshots taken by queries stay stable.
+    That is also why ``size`` (bytes, see :func:`entity_size`) is
+    computed once, at construction, and stored: queries and capacity
+    accounting read it for every row.
     """
 
-    __slots__ = ("partition_key", "row_key", "_properties", "etag", "timestamp")
+    __slots__ = ("partition_key", "row_key", "_properties", "etag",
+                 "timestamp", "size")
 
     def __init__(self, partition_key: str, row_key: str,
                  properties: Mapping[str, Any], *, etag: str = "",
@@ -84,6 +88,7 @@ class Entity:
         self._properties: Dict[str, Any] = dict(properties)
         self.etag = etag
         self.timestamp = timestamp
+        self.size = entity_size(partition_key, row_key, self._properties)
 
     # -- validation ---------------------------------------------------------
     def validate(self, limits: ServiceLimits) -> None:
@@ -100,10 +105,6 @@ class Entity:
             )
 
     # -- access ---------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return entity_size(self.partition_key, self.row_key, self._properties)
-
     @property
     def key(self) -> Tuple[str, str]:
         return (self.partition_key, self.row_key)

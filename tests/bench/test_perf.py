@@ -41,6 +41,18 @@ class TestFlockMetrics:
         assert sample["peak_rss_mb"] is None or sample["peak_rss_mb"] > 0
 
 
+class TestFlatness:
+    def test_short_and_long_rate_per_mix(self):
+        sample = perf.flatness_metrics(
+            durations=(2.0, 4.0), clients=50, per_client_rate=0.2,
+            flock_size=16)
+        assert sample["durations_s"] == [2.0, 4.0]
+        for mix in ("queue", "table"):
+            short, long_ = sample[mix]["ops_per_sec"]
+            assert short > 0 and long_ > 0
+            assert sample[mix]["ratio"] == round(long_ / short, 3)
+
+
 class TestSweepWallClock:
     def test_measures_both_legs(self):
         sample = perf.sweep_wall_clock(["fig6"], MINI_SCALE, jobs=2)
@@ -156,6 +168,8 @@ class TestRunPerf:
         assert doc["kernel_calendar"]["scheduler"] == "calendar"
         assert doc["kernel_calendar"]["events_per_sec"] > 0
         assert doc["flock"]["ops"] > 0
+        assert doc["flatness"]["queue"]["ratio"] > 0
+        assert doc["flatness"]["table"]["ratio"] > 0
         assert doc["sweeps"]["labels"] == ["fig6"]
         assert doc["baseline"]["kernel_events_per_sec"] == 1.0
         assert doc["host"]["cpus"] >= 1

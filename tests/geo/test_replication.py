@@ -54,7 +54,7 @@ class TestLogShipping:
         env.run(until=env.now + 10.0)
 
         def snapshot(account):
-            messages = account.state.queues.queues["geoq"]._messages
+            messages = account.state.queues.queues["geoq"].messages()
             return [(m.message_id, m.content.to_bytes(), m.insertion_time)
                     for m in messages]
 

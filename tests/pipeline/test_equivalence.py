@@ -128,7 +128,7 @@ def fingerprint(state, cache_state):
         data = b.download() if hasattr(b, "download") else b.read_all()
         blobs[name] = data.to_bytes()
     queue = state.queues.get_queue("que")
-    messages = sorted(m.content.to_bytes() for m in queue._messages)
+    messages = sorted(m.content.to_bytes() for m in queue.messages())
     table = state.tables.get_table("Tab")
     entities = {
         (e.partition_key, e.row_key): e.properties()["Data"]

@@ -125,7 +125,7 @@ def state_fingerprint(state):
         else:
             blob_part[name] = b.read_all().to_bytes()
     queue = state.queues.get_queue("que")
-    queue_part = sorted(m.content.to_bytes() for m in queue._messages)
+    queue_part = sorted(m.content.to_bytes() for m in queue.messages())
     table = state.tables.get_table("Tab")
     table_part = {
         (e.partition_key, e.row_key): e.properties()["Data"]
